@@ -24,9 +24,6 @@ events and the injector schedules with ulp-exact absolute timeouts, every
 child's simulation runs the same float sequence as a from-scratch
 execution: the ``metrics`` sections aggregate byte-identically.  Only
 ``perf`` (wall clock, per-process event counts) differs.
-
-The shared failure-free *reference* run — the wasted-time baseline each
-scenario recomputes from scratch — is likewise executed once per group.
 """
 
 from __future__ import annotations
@@ -95,27 +92,21 @@ def execute_prefix_group(specs: list[ScenarioSpec],
     if not HAVE_FORK or len(specs) < 2:
         return [execute_scenario(spec) for spec in specs]
 
-    from repro.campaign.runner import (_campaign_result, _losses_digest,
+    from repro.campaign.runner import (_campaign_result,
                                        _periodic_interval_iterations,
-                                       _resolve_workload)
+                                       _reference_run, _resolve_workload)
     from repro.cluster.worker import InitCosts
     from repro.core import UserLevelJitRunner
     from repro.core.periodic import CheckpointMode, PeriodicPolicy, PeriodicRunner
     from repro.failures import FailureInjector
     from repro.sim import Environment
     from repro.storage import SharedObjectStore
-    from repro.workloads import TrainingJob
 
     lead = specs[0]
     workload = _resolve_workload(lead)
     group_start = time.perf_counter()
-
-    # Shared failure-free reference run (wasted-time / loss-digest baseline).
-    reference_job = TrainingJob(workload)
-    reference_losses = reference_job.run_training(lead.target_iterations)[0]
-    ideal_time = reference_job.env.now
-    reference_events = reference_job.env.events_processed
-    reference_digest = _losses_digest(reference_losses)
+    ideal_time, reference_digest = _reference_run(
+        lead.workload, lead.node, lead.minibatch_time, lead.target_iterations)
 
     # Shared managed run whose prefix every scenario reuses.
     env = Environment()
@@ -156,7 +147,7 @@ def execute_prefix_group(specs: list[ScenarioSpec],
             spec, report, ideal_time=ideal_time,
             reference_digest=reference_digest,
             interval_iterations=interval_iterations,
-            events=reference_events + env.events_processed,
+            events=env.events_processed,
             wall=time.perf_counter() - child_start)
 
     results: list[Optional[dict]] = [None] * len(specs)
@@ -179,13 +170,12 @@ def execute_prefix_group(specs: list[ScenarioSpec],
         # Finish the shared run in the parent and reuse its report for
         # every failure-free scenario (one simulation, N identical rows).
         report = env.run(until=proc)
-        parent_events = reference_events + env.events_processed
         wall = time.perf_counter() - group_start
         for index in tail_indices:
             results[index] = _campaign_result(
                 specs[index], report, ideal_time=ideal_time,
                 reference_digest=reference_digest,
                 interval_iterations=interval_iterations,
-                events=parent_events, wall=wall)
+                events=env.events_processed, wall=wall)
 
     return results  # type: ignore[return-value]

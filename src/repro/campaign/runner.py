@@ -14,7 +14,10 @@ Result dicts split into two sections:
 ``perf``
     Wall-clock measurements (events dispatched, events/sec).  These vary
     run to run and are reported as telemetry, never aggregated into
-    table results.
+    table results.  ``events`` counts only the events of the scenario's
+    own managed simulation: the failure-free reference run behind
+    ``ideal_time`` and ``reference_digest`` is memoised per process
+    (:func:`_reference_run`) and never counted.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,25 +44,53 @@ from repro.obs.metrics import registry as _metrics
 _MIN_WORKERS = 1
 
 
-def _resolve_workload(spec: ScenarioSpec):
+def _workload_spec(workload: str, node: Optional[str],
+                   minibatch_time: Optional[float]):
     from repro.hardware.specs import NODE_SPECS
     from repro.workloads.catalog import WORKLOADS
 
-    workload = WORKLOADS[spec.workload]
+    resolved = WORKLOADS[workload]
     overrides = {}
-    if spec.node is not None:
-        overrides["node_spec"] = NODE_SPECS[spec.node]
-    if spec.minibatch_time is not None:
-        overrides["minibatch_time"] = spec.minibatch_time
+    if node is not None:
+        overrides["node_spec"] = NODE_SPECS[node]
+    if minibatch_time is not None:
+        overrides["minibatch_time"] = minibatch_time
     if overrides:
-        workload = dataclasses.replace(workload, **overrides)
-    return workload
+        resolved = dataclasses.replace(resolved, **overrides)
+    return resolved
+
+
+def _resolve_workload(spec: ScenarioSpec):
+    return _workload_spec(spec.workload, spec.node, spec.minibatch_time)
 
 
 def _losses_digest(losses) -> str:
     """Bit-exact digest of a loss stream (the semantics-preservation check)."""
     return hashlib.sha256(
         np.asarray(losses, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+@lru_cache(maxsize=16)
+def _reference_run(workload: str, node: Optional[str],
+                   minibatch_time: Optional[float],
+                   target_iterations: int) -> tuple[float, str]:
+    """Ideal failure-free run: ``(ideal_time, reference_digest)``.
+
+    The wasted-time baseline and the loss stream a managed run must
+    reproduce depend only on these four fields, so each process simulates
+    one per configuration and keeps just the two scalars (never the job or
+    its losses).  The memo is per process: pool workers fill their own,
+    and the key needs no code fingerprint because code cannot change
+    inside a process.  The digest reads the reference rank of
+    :meth:`~repro.cluster.manager.JobManager._collect_losses`, the first
+    rank that reports losses; first pipeline stages report none.
+    """
+    from repro.workloads import TrainingJob
+
+    job = TrainingJob(_workload_spec(workload, node, minibatch_time))
+    per_rank = job.run_training(target_iterations)
+    losses = next((losses for losses in per_rank if losses), [])
+    return job.env.now, _losses_digest(losses)
 
 
 def _type_mix(spec: ScenarioSpec):
@@ -87,17 +119,11 @@ def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
     from repro.failures import FailureInjector, PoissonSchedule
     from repro.sim import Environment
     from repro.storage import SharedObjectStore
-    from repro.workloads import TrainingJob
 
     workload = _resolve_workload(spec)
     start = time.perf_counter()
-
-    # Ideal failure-free reference: wall-time baseline for wasted-time
-    # accounting plus the loss stream the managed run must reproduce.
-    reference_job = TrainingJob(workload)
-    reference_losses = reference_job.run_training(spec.target_iterations)[0]
-    ideal_time = reference_job.env.now
-    reference_events = reference_job.env.events_processed
+    ideal_time, reference_digest = _reference_run(
+        spec.workload, spec.node, spec.minibatch_time, spec.target_iterations)
 
     env = Environment()
     store = SharedObjectStore(env, bandwidth=spec.store_bandwidth)
@@ -127,9 +153,9 @@ def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
     wall = time.perf_counter() - start
     return _campaign_result(
         spec, report, ideal_time=ideal_time,
-        reference_digest=_losses_digest(reference_losses),
+        reference_digest=reference_digest,
         interval_iterations=interval_iterations,
-        events=reference_events + env.events_processed, wall=wall)
+        events=env.events_processed, wall=wall)
 
 
 def _campaign_result(spec: ScenarioSpec, report, *, ideal_time: float,

@@ -23,35 +23,34 @@ from typing import Iterable, Optional
 
 import repro
 
-#: Package subtrees whose source feeds :func:`code_fingerprint` — the
-#: layers that determine simulated event streams and timing.  A change
-#: anywhere here (e.g. macro-event coalescing, rendezvous batching)
-#: must invalidate cached scenario results even when ``__version__``
-#: wasn't bumped, or warm caches silently mix result dicts produced by
-#: different simulator kernels.
-_FINGERPRINT_SUBTREES = ("sim", "cuda", "nccl", "hardware")
+
+def package_fingerprint(root: Path) -> str:
+    """Hash of the package version and every ``*.py`` file under *root*.
+
+    The whole package feeds the hash, not just the simulator kernel:
+    strategies, training math, storage and the campaign runner itself all
+    shape result dicts, so an edit anywhere must start from a cold cache.
+    """
+    digest = hashlib.sha256(repro.__version__.encode())
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 @lru_cache(maxsize=1)
 def _source_fingerprint() -> str:
-    digest = hashlib.sha256(repro.__version__.encode())
-    root = Path(repro.__file__).parent
-    for subtree in _FINGERPRINT_SUBTREES:
-        for path in sorted((root / subtree).rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()[:16]
+    return package_fingerprint(Path(repro.__file__).parent)
 
 
 def code_fingerprint() -> str:
-    """Package version + kernel-layer source hash + fast-path state.
+    """Package version + package source hash + fast-path state.
 
-    Folded into every :meth:`ScenarioSpec.content_hash`, so editing the
-    simulator kernel, the CUDA/stream layer or the NCCL layer — or
-    toggling ``REPRO_FAST_PATH`` — starts campaigns from a cold cache
-    instead of serving results recorded under different event semantics.
-    The source hash is computed once per process; the fast-path bit is
-    read per call because tests flip it at runtime.
+    Folded into every :meth:`ScenarioSpec.content_hash`, so editing any
+    module of the package — or toggling ``REPRO_FAST_PATH`` — starts
+    campaigns from a cold cache instead of serving results recorded by
+    different code.  The source hash is computed once per process; the
+    fast-path bit is read per call because tests flip it at runtime.
     """
     from repro.sim import fastpath
 
@@ -190,10 +189,10 @@ class ScenarioSpec:
     def content_hash(self) -> str:
         """Cache key: scenario configuration plus the code fingerprint.
 
-        The fingerprint covers ``repro.__version__``, the kernel-layer
-        source (:func:`code_fingerprint`), and the fast-path toggle, so
-        both version bumps *and* unreleased simulator edits invalidate
-        every cached result.
+        The fingerprint covers ``repro.__version__``, the package source
+        (:func:`code_fingerprint`), and the fast-path toggle, so both
+        version bumps *and* unreleased code edits invalidate every
+        cached result.
         """
         payload = json.dumps({"scenario": self.config(),
                               "fingerprint": code_fingerprint()},

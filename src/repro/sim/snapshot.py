@@ -117,26 +117,3 @@ class ForkBranch:
         self._result = value
         return value
 
-
-def cow_fork_map(branches: list[Callable[[], Any]],
-                 max_live: int = 8) -> list[Any]:
-    """Evaluate every thunk in a copy-on-write forked child; return results.
-
-    At most *max_live* children run concurrently — the oldest is reaped
-    before the next is forked.  Results come back in branch order.  The
-    caller may mutate its own state between constructing the list and the
-    forks happening, so for staged snapshots (each branch forking from a
-    *different* parent state) construct :class:`ForkBranch` directly,
-    interleaved with the state advancement.
-    """
-    handles: list[ForkBranch] = []
-    results: list[Any] = [None] * len(branches)
-    collected = 0
-    for index, fn in enumerate(branches):
-        if index - collected >= max_live:
-            results[collected] = handles[collected].result()
-            collected += 1
-        handles.append(ForkBranch(fn))
-    for index in range(collected, len(handles)):
-        results[index] = handles[index].result()
-    return results

@@ -68,6 +68,10 @@ def test_serial_parallel_and_cached_aggregates_are_byte_identical(tmp_path):
     assert warm.perf.cache_hit_rate == 1.0
 
 
+#: sha256 prefix of a loss stream with no entries (``_losses_digest([])``).
+EMPTY_STREAM_DIGEST = "e3b0c44298fc1c14"
+
+
 def test_campaign_runs_preserve_training_semantics(tmp_path):
     result = CampaignRunner(cache=None, workers=1).run(
         small_campaign("semantics"))
@@ -81,6 +85,16 @@ def test_campaign_runs_preserve_training_semantics(tmp_path):
         digests.add(metrics["losses_digest"])
     # Same workload + iterations -> one digest across policies and seeds.
     assert len(digests) == 1
+
+    # Pipeline job: rank 0 is a first stage that reports no losses, so
+    # the reference must come from the first rank that does.
+    metrics = execute_scenario(ScenarioSpec(
+        workload="GPT2-S-3D", policy="user_jit", seed=1,
+        target_iterations=8, failure_rate=0.05))["metrics"]
+    assert metrics["completed"]
+    assert metrics["failures"] > 0
+    assert metrics["losses_digest"] == metrics["reference_digest"]
+    assert metrics["reference_digest"] != EMPTY_STREAM_DIGEST
 
 
 # -- spec hashing ----------------------------------------------------------------------
@@ -310,6 +324,24 @@ def test_content_hash_covers_code_fingerprint(monkeypatch):
     assert spec.content_hash() != base
 
 
+def test_package_fingerprint_covers_non_kernel_modules(tmp_path):
+    import shutil
+    from pathlib import Path
+
+    import repro
+    from repro.campaign.spec import package_fingerprint
+
+    copy = tmp_path / "repro"
+    shutil.copytree(Path(repro.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    before = package_fingerprint(copy)
+    assert before == package_fingerprint(Path(repro.__file__).parent)
+
+    planner = copy / "storage" / "planner.py"
+    planner.write_text(planner.read_text() + "\n# edited\n")
+    assert package_fingerprint(copy) != before
+
+
 def test_content_hash_covers_fastpath_toggle(monkeypatch):
     from repro.sim import fastpath
 
@@ -318,6 +350,50 @@ def test_content_hash_covers_fastpath_toggle(monkeypatch):
     fast = spec.content_hash()
     monkeypatch.setattr(fastpath, "enabled", lambda: False)
     assert spec.content_hash() != fast
+
+
+# -- reference-run memo ----------------------------------------------------------------
+# The failure-free reference run depends only on (workload, node,
+# minibatch_time, target_iterations), so each process simulates it once per
+# configuration and every scenario reuses its two scalars.
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_reference_memo_hit_matches_cold_run(fast):
+    from repro.campaign.runner import _reference_run
+    from repro.sim.fastpath import fast_path
+
+    spec = small_campaign("memo").scenarios[0]
+    with fast_path(fast):
+        _reference_run.cache_clear()
+        cold = execute_scenario(spec)
+        assert _reference_run.cache_info().misses == 1
+        hit = execute_scenario(spec)
+        assert _reference_run.cache_info().hits == 1
+    assert canonical_json(hit["metrics"]) == canonical_json(cold["metrics"])
+    # perf counts only the managed run, hit or miss.
+    assert hit["perf"]["events"] == cold["perf"]["events"]
+
+
+def test_reference_memo_keys_on_node_minibatch_and_iterations():
+    from repro.campaign.runner import _reference_run
+
+    base = dict(workload="GPT2-S", policy="user_jit", seed=0,
+                target_iterations=4, minibatch_time=0.1,
+                failure_rate=1.0 / 25.0, horizon=150.0,
+                init_costs=(0.5, 0.25, 0.25), progress_timeout=10.0)
+    variants = [base, {**base, "node": "DGX1-V100"},
+                {**base, "minibatch_time": 0.2},
+                {**base, "target_iterations": 5}]
+    _reference_run.cache_clear()
+    ideal = [execute_scenario(ScenarioSpec(**v))["metrics"]["ideal_time"]
+             for v in variants]
+    info = _reference_run.cache_info()
+    assert (info.misses, info.hits) == (len(variants), 0)
+    assert len(set(ideal)) == len(variants)
+    # Seed and policy shape only the managed run: they share the entry.
+    execute_scenario(ScenarioSpec(**{**base, "seed": 1, "policy": "periodic"}))
+    assert _reference_run.cache_info().hits == 1
 
 
 # -- prefix-fork scheduling ------------------------------------------------------------
@@ -341,6 +417,8 @@ def test_prefix_fork_group_matches_from_scratch_byte_identically():
     if not HAVE_FORK:
         pytest.skip("os.fork unavailable")
 
+    from repro.campaign.runner import _reference_run
+
     campaign = small_campaign("prefix-fork")
     specs = [spec for spec in campaign.scenarios if spec.policy == "user_jit"]
     assert len(specs) == 4
@@ -348,8 +426,11 @@ def test_prefix_fork_group_matches_from_scratch_byte_identically():
     groups = group_by_prefix(list(enumerate(specs)))
     assert [position for position, _ in groups[0]] == [0, 1, 2, 3]
 
+    # The group fills the reference memo cold; from-scratch runs hit it.
+    _reference_run.cache_clear()
     forked = execute_prefix_group(specs)
     scratch = [execute_scenario(spec) for spec in specs]
+    assert _reference_run.cache_info().misses == 1
     assert [canonical_json(_strip_perf(r)) for r in forked] == \
         [canonical_json(_strip_perf(r)) for r in scratch]
     # At least one scenario's schedule actually fired, so divergent tails
