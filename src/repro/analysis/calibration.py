@@ -3,9 +3,8 @@
 The Section 5/6.5 analysis needs per-workload constants: the checkpoint
 overhead ``o``, fixed recovery cost ``r`` and minibatch time ``m``.  The
 paper reads them off its Table 4 measurements; we derive them from the
-same quantities our simulation produces — either analytically from the
-hardware model (fast, used by the scaling benches) or empirically from
-recovery telemetry.
+same quantities our simulation produces, analytically from the hardware
+model.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.analysis.model import CostParameters
 from repro.cluster.worker import InitCosts
-from repro.core.telemetry import RecoveryTelemetry
 from repro.hardware.specs import SHARED_STORE_BANDWIDTH
 from repro.workloads.catalog import WorkloadSpec
 
@@ -59,24 +57,3 @@ class CalibratedParameters:
             fixed_recovery=r,
             minibatch_time=spec.minibatch_time,
             jit_steady_overhead=jit_steady_overhead))
-
-    @classmethod
-    def from_telemetry(cls, spec: WorkloadSpec, telemetry: RecoveryTelemetry,
-                       kind: str,
-                       failure_rate_per_gpu_per_day: float =
-                       OPT_FAILURE_RATE_PER_GPU_PER_DAY
-                       ) -> "CalibratedParameters":
-        """Measure o and r from recorded recoveries of *kind*."""
-        records = telemetry.by_kind(kind)
-        if not records:
-            raise ValueError(f"no finished {kind!r} recoveries to calibrate from")
-        checkpoint = sum(r.phase_duration("checkpoint") for r in records) \
-            / len(records)
-        restore_records = telemetry.by_kind(f"{kind}_restore") or records
-        restore = sum(rec.recovery_time for rec in restore_records) \
-            / len(restore_records)
-        return cls(spec_name=spec.name, params=CostParameters(
-            checkpoint_overhead=checkpoint,
-            failure_rate=failure_rate_per_gpu_per_day / 86400.0,
-            fixed_recovery=restore,
-            minibatch_time=spec.minibatch_time))

@@ -18,7 +18,6 @@ See ``docs/performance.md`` for the design and determinism guarantees.
 """
 
 from repro.campaign.aggregate import (
-    StreamingAggregator,
     aggregate_results,
     canonical_json,
     percentile,
@@ -30,7 +29,6 @@ from repro.campaign.runner import (
     ScenarioOutcome,
     execute_scenario,
 )
-from repro.campaign.shmstore import ShmResultStore
 from repro.campaign.spec import (
     DEFAULT_CAMPAIGN_MIX,
     CampaignSpec,
@@ -46,8 +44,6 @@ __all__ = [
     "ResultCache",
     "ScenarioOutcome",
     "ScenarioSpec",
-    "ShmResultStore",
-    "StreamingAggregator",
     "aggregate_results",
     "canonical_json",
     "code_fingerprint",

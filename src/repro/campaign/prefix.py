@@ -10,31 +10,33 @@ This module simulates it once per *group*.  Scenarios are grouped by the
 configuration that shapes the failure-free trajectory (:func:`prefix_key`),
 sorted by first-failure time, and executed as:
 
-1. the parent builds the managed runner and advances the event loop with
-   :meth:`~repro.sim.Environment.run_until_before` up to (but excluding)
-   the next scenario's first-failure instant;
+1. the parent builds the managed runner and dispatches, one event at a
+   time, every event before the next scenario's first-failure instant,
+   stopping early if the job completes;
 2. it forks a copy-on-write child (:class:`repro.sim.snapshot.ForkBranch`)
    which arms that scenario's full failure schedule and runs the divergent
    tail to completion;
-3. scenarios whose schedule never fires inside the horizon reuse the
-   parent's own completed run directly — no fork at all.
+3. scenarios whose first failure comes after the job completed (or never
+   comes) reuse the parent's own completed run directly — no fork at all.
 
-Because :meth:`run_until_before` never advances the clock past dispatched
-events and the injector schedules with ulp-exact absolute timeouts, every
-child's simulation runs the same float sequence as a from-scratch
-execution: the ``metrics`` sections aggregate byte-identically.  Only
-``perf`` (wall clock, per-process event counts) differs.
+Because the parent never advances the clock past dispatched events, never
+dispatches past the run's completion, and the injector schedules with
+ulp-exact absolute timeouts, every child's simulation runs the same float
+sequence as a from-scratch execution: the ``metrics`` sections aggregate
+byte-identically.  Only ``perf`` (wall clock, per-process event counts)
+differs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Optional
 
 from repro.campaign.spec import KIND_CAMPAIGN, ScenarioSpec
-from repro.sim.snapshot import HAVE_FORK, ForkBranch
+from repro.sim.snapshot import HAVE_FORK, BranchError, ForkBranch
 
-#: Default cap on concurrently-running forked children per group.
+#: Cap on concurrently-running forked children per group.
 DEFAULT_MAX_LIVE = 4
 
 
@@ -72,16 +74,7 @@ def group_by_prefix(specs: list[tuple[int, ScenarioSpec]]
     return list(groups.values())
 
 
-def _draw_schedule(spec: ScenarioSpec, cluster) -> list:
-    from repro.campaign.runner import _type_mix
-    from repro.failures import PoissonSchedule
-
-    return PoissonSchedule(cluster, spec.failure_rate, horizon=spec.horizon,
-                           seed=spec.seed, type_mix=_type_mix(spec)).events()
-
-
-def execute_prefix_group(specs: list[ScenarioSpec],
-                         max_live: int = DEFAULT_MAX_LIVE) -> list[dict]:
+def execute_prefix_group(specs: list[ScenarioSpec]) -> list[dict]:
     """Run one prefix group; returns result dicts in *specs* order.
 
     Falls back to from-scratch execution when ``os.fork`` is unavailable
@@ -92,15 +85,11 @@ def execute_prefix_group(specs: list[ScenarioSpec],
     if not HAVE_FORK or len(specs) < 2:
         return [execute_scenario(spec) for spec in specs]
 
-    from repro.campaign.runner import (_campaign_result,
-                                       _periodic_interval_iterations,
+    from repro.campaign.runner import (_build_managed_runner,
+                                       _campaign_result, _poisson_schedule,
                                        _reference_run, _resolve_workload)
-    from repro.cluster.worker import InitCosts
-    from repro.core import UserLevelJitRunner
-    from repro.core.periodic import CheckpointMode, PeriodicPolicy, PeriodicRunner
     from repro.failures import FailureInjector
     from repro.sim import Environment
-    from repro.storage import SharedObjectStore
 
     lead = specs[0]
     workload = _resolve_workload(lead)
@@ -110,29 +99,12 @@ def execute_prefix_group(specs: list[ScenarioSpec],
 
     # Shared managed run whose prefix every scenario reuses.
     env = Environment()
-    store = SharedObjectStore(env, bandwidth=lead.store_bandwidth)
-    init_costs = (InitCosts(*lead.init_costs)
-                  if lead.init_costs is not None else None)
-    interval_iterations: Optional[int] = None
-    if lead.policy == "periodic":
-        interval_iterations = _periodic_interval_iterations(workload, lead)
-        runner = PeriodicRunner(
-            env, workload, store,
-            target_iterations=lead.target_iterations,
-            policy=PeriodicPolicy(CheckpointMode.PC_MEM, interval_iterations),
-            init_costs=init_costs,
-            progress_timeout=lead.progress_timeout)
-    else:
-        runner = UserLevelJitRunner(
-            env, workload, store,
-            target_iterations=lead.target_iterations,
-            init_costs=init_costs,
-            progress_timeout=lead.progress_timeout)
+    runner, interval_iterations = _build_managed_runner(lead, workload, env)
     proc = runner.start()
 
     # Failure schedules are drawn against the launch topology, which the
     # failure-free parent never mutates — identical to from-scratch draws.
-    schedules = [_draw_schedule(spec, runner.manager.cluster)
+    schedules = [_poisson_schedule(spec, runner.manager.cluster).events()
                  for spec in specs]
     first_failure = [events[0].time if events else float("inf")
                      for events in schedules]
@@ -153,18 +125,30 @@ def execute_prefix_group(specs: list[ScenarioSpec],
     results: list[Optional[dict]] = [None] * len(specs)
     live: list[tuple[int, ForkBranch]] = []
     tail_indices: list[int] = []
-    for index in order:
-        if first_failure[index] == float("inf"):
-            # No failure ever fires: the scenario IS the shared trajectory.
-            tail_indices.append(index)
-            continue
-        env.run_until_before(first_failure[index])
-        if len(live) >= max_live:
-            done_index, branch = live.pop(0)
+    try:
+        for index in order:
+            # Same stop test as ``env.run(until=proc)``, so a parent that
+            # reaches completion has dispatched exactly a from-scratch run.
+            when = first_failure[index]
+            while not proc.triggered and env.peek() < when:
+                env.step()
+            if proc.triggered:
+                # The job finished before this scenario's first failure (or
+                # it has none): the scenario IS the shared trajectory.
+                tail_indices.append(index)
+                continue
+            if len(live) >= DEFAULT_MAX_LIVE:
+                done_index, branch = live.pop(0)
+                results[done_index] = branch.result()
+            live.append((index, ForkBranch(lambda index=index: child(index))))
+        for done_index, branch in live:
             results[done_index] = branch.result()
-        live.append((index, ForkBranch(lambda index=index: child(index))))
-    for done_index, branch in live:
-        results[done_index] = branch.result()
+    finally:
+        # When one child fails, still reap the others: no zombie process
+        # or open pipe outlives the group.
+        for _index, branch in live:
+            with contextlib.suppress(BranchError):
+                branch.result()
 
     if tail_indices:
         # Finish the shared run in the parent and reuse its report for

@@ -33,7 +33,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.shmstore import DEFAULT_SLOT_BYTES, HAVE_SHM, ShmResultStore
 from repro.campaign.spec import (KIND_ANALYTIC, KIND_ORACLE, ORACLE_WORKLOAD,
                                  CampaignSpec, ScenarioSpec)
 from repro.core.telemetry import CampaignPerf
@@ -93,10 +92,14 @@ def _reference_run(workload: str, node: Optional[str],
     return job.env.now, _losses_digest(losses)
 
 
-def _type_mix(spec: ScenarioSpec):
-    from repro.failures import FailureType
+def _poisson_schedule(spec: ScenarioSpec, cluster):
+    """The scenario's seeded failure schedule over *cluster*'s topology."""
+    from repro.failures import FailureType, PoissonSchedule
 
-    return tuple((FailureType[name], weight) for name, weight in spec.type_mix)
+    type_mix = tuple((FailureType[name], weight)
+                     for name, weight in spec.type_mix)
+    return PoissonSchedule(cluster, spec.failure_rate, horizon=spec.horizon,
+                           seed=spec.seed, type_mix=type_mix)
 
 
 def _periodic_interval_iterations(workload, spec: ScenarioSpec) -> int:
@@ -112,13 +115,42 @@ def _periodic_interval_iterations(workload, spec: ScenarioSpec) -> int:
     return max(1, int(round(1 / c_star / workload.minibatch_time)))
 
 
-def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
+def _build_managed_runner(spec: ScenarioSpec, workload, env
+                          ) -> tuple[object, Optional[int]]:
+    """The managed job a campaign scenario drives, before any failure.
+
+    Returns ``(runner, interval_iterations)``; the interval is the
+    periodic policy's analytic checkpoint interval, ``None`` under JIT.
+    From-scratch execution and prefix-fork groups
+    (:mod:`repro.campaign.prefix`) both build their run here, so the two
+    schedulers simulate the same job.
+    """
     from repro.cluster.worker import InitCosts
     from repro.core import UserLevelJitRunner
     from repro.core.periodic import CheckpointMode, PeriodicPolicy, PeriodicRunner
-    from repro.failures import FailureInjector, PoissonSchedule
-    from repro.sim import Environment
     from repro.storage import SharedObjectStore
+
+    store = SharedObjectStore(env, bandwidth=spec.store_bandwidth)
+    init_costs = (InitCosts(*spec.init_costs)
+                  if spec.init_costs is not None else None)
+    if spec.policy == "periodic":
+        interval_iterations = _periodic_interval_iterations(workload, spec)
+        return PeriodicRunner(
+            env, workload, store,
+            target_iterations=spec.target_iterations,
+            policy=PeriodicPolicy(CheckpointMode.PC_MEM, interval_iterations),
+            init_costs=init_costs,
+            progress_timeout=spec.progress_timeout), interval_iterations
+    return UserLevelJitRunner(
+        env, workload, store,
+        target_iterations=spec.target_iterations,
+        init_costs=init_costs,
+        progress_timeout=spec.progress_timeout), None
+
+
+def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
+    from repro.failures import FailureInjector
+    from repro.sim import Environment
 
     workload = _resolve_workload(spec)
     start = time.perf_counter()
@@ -126,29 +158,9 @@ def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
         spec.workload, spec.node, spec.minibatch_time, spec.target_iterations)
 
     env = Environment()
-    store = SharedObjectStore(env, bandwidth=spec.store_bandwidth)
-    init_costs = (InitCosts(*spec.init_costs)
-                  if spec.init_costs is not None else None)
-    interval_iterations: Optional[int] = None
-    if spec.policy == "periodic":
-        interval_iterations = _periodic_interval_iterations(workload, spec)
-        runner = PeriodicRunner(
-            env, workload, store,
-            target_iterations=spec.target_iterations,
-            policy=PeriodicPolicy(CheckpointMode.PC_MEM, interval_iterations),
-            init_costs=init_costs,
-            progress_timeout=spec.progress_timeout)
-    else:
-        runner = UserLevelJitRunner(
-            env, workload, store,
-            target_iterations=spec.target_iterations,
-            init_costs=init_costs,
-            progress_timeout=spec.progress_timeout)
-
-    schedule = PoissonSchedule(
-        runner.manager.cluster, spec.failure_rate, horizon=spec.horizon,
-        seed=spec.seed, type_mix=_type_mix(spec))
-    FailureInjector(env, runner.manager.cluster).arm(schedule)
+    runner, interval_iterations = _build_managed_runner(spec, workload, env)
+    cluster = runner.manager.cluster
+    FailureInjector(env, cluster).arm(_poisson_schedule(spec, cluster))
     report = runner.execute()
     wall = time.perf_counter() - start
     return _campaign_result(
@@ -297,61 +309,22 @@ def execute_scenario(spec: ScenarioSpec) -> dict:
     return _execute_campaign_scenario(spec)
 
 
-def _execute_scenario_slot(args) -> tuple[int, Optional[dict]]:
-    """Pool entry point: run a scenario, publish its result via shared memory.
+def _execute_unit(items: list[tuple[int, ScenarioSpec]], is_group: bool
+                  ) -> list[tuple[int, dict]]:
+    """Run one dispatch unit (a scenario or a prefix group).
 
-    Returns ``(position, None)`` when the result landed in its shm slot —
-    the parent reads it from the segment, so only two small ints travel
-    through the pool's pickle channel — or ``(position, result)`` when no
-    segment is available or the result overflowed its slot.
+    Returns ``(position, result)`` per scenario.  The serial loop and the
+    process pool both call this, so results travel back through the
+    executor's own pickle channel.
     """
-    spec, shm_name, position, slots, slot_bytes = args
-    result = execute_scenario(spec)
-    if shm_name is not None and HAVE_SHM:
-        try:
-            store = ShmResultStore.attach(shm_name, slots, slot_bytes)
-        except Exception:
-            return position, result
-        try:
-            if store.write(position, result):
-                return position, None
-        finally:
-            store.close()
-    return position, result
-
-
-def _execute_unit_slot(args) -> list[tuple[int, Optional[dict]]]:
-    """Pool entry point for one dispatch unit (scenario or prefix group).
-
-    Returns ``(position, None)`` per scenario whose result landed in its
-    shm slot, ``(position, result)`` for those that fell back to the
-    pickle channel (no segment, attach failure, or slot overflow).
-    """
-    items, is_group, shm_name, slots, slot_bytes, max_live = args
     if is_group:
         from repro.campaign.prefix import execute_prefix_group
 
-        results = execute_prefix_group([spec for _pos, spec in items],
-                                       max_live=max_live)
+        results = execute_prefix_group([spec for _pos, spec in items])
     else:
         results = [execute_scenario(spec) for _pos, spec in items]
-    store = None
-    if shm_name is not None and HAVE_SHM:
-        try:
-            store = ShmResultStore.attach(shm_name, slots, slot_bytes)
-        except Exception:
-            store = None
-    out: list[tuple[int, Optional[dict]]] = []
-    try:
-        for (position, _spec), result in zip(items, results):
-            if store is not None and store.write(position, result):
-                out.append((position, None))
-            else:
-                out.append((position, result))
-    finally:
-        if store is not None:
-            store.close()
-    return out
+    return [(position, result)
+            for (position, _spec), result in zip(items, results)]
 
 
 @dataclass
@@ -401,34 +374,23 @@ class CampaignRunner:
     an unchanged campaign executes zero scenarios.  Scenario *results* are
     deterministic functions of their spec; only dispatch order varies with
     the worker count, and outcomes are always reassembled in campaign
-    order.
-
-    With ``use_shm`` (the default where ``multiprocessing.shared_memory``
-    works), workers publish results through a fixed-slot shared-memory
-    segment and return only their slot index, keeping per-scenario pickle
-    round-trips off the pool's result queue; see
-    :mod:`repro.campaign.shmstore`.  Oversized results degrade to the
-    pickle path per scenario, never to an error.
+    order.  Pool workers return result dicts through the executor's own
+    pickle channel.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
-                 workers: Optional[int] = None, use_shm: bool = True,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES,
-                 prefix_fork: bool = False, fork_max_live: int = 4):
+                 workers: Optional[int] = None, prefix_fork: bool = False):
         import os
 
         self.cache = cache
         self.workers = max(_MIN_WORKERS, workers if workers is not None
                            else (os.cpu_count() or 1))
-        self.use_shm = use_shm and HAVE_SHM
-        self.slot_bytes = slot_bytes
         #: Group campaign scenarios by failure-free prefix and fork each
         #: scenario's divergent tail from a shared copy-on-write snapshot
         #: (:mod:`repro.campaign.prefix`).  Metrics are byte-identical to
         #: from-scratch execution; wall clock is substantially lower for
         #: seed/rate sweeps.  Non-campaign kinds always run from scratch.
         self.prefix_fork = prefix_fork
-        self.fork_max_live = fork_max_live
 
     def run(self, campaign: CampaignSpec,
             on_outcome: Optional[Callable[[int, "ScenarioOutcome"], None]]
@@ -437,10 +399,11 @@ class CampaignRunner:
 
         The callback fires once per scenario as its result becomes
         available — cache hits immediately, fresh results in worker
-        completion order — so a streaming consumer (e.g.
-        :class:`~repro.campaign.aggregate.StreamingAggregator`) never
-        waits for the full grid.  ``CampaignResult.outcomes`` is always
-        reassembled in campaign order regardless.
+        completion order.  With ``workers=1`` and no prefix-fork it fires
+        right after each scenario finishes and before the next starts,
+        and an exception it raises leaves ``run`` at once.
+        ``CampaignResult.outcomes`` is always reassembled in campaign
+        order regardless.
         """
         start = time.perf_counter()
         perf = CampaignPerf()
@@ -486,21 +449,6 @@ class CampaignRunner:
                     for i, spec in enumerate(campaign.scenarios)]
         return CampaignResult(campaign=campaign, outcomes=outcomes, perf=perf)
 
-    def run_aggregated(self, campaign: CampaignSpec
-                       ) -> tuple[CampaignResult, list[dict]]:
-        """Run the campaign with results streamed into the aggregator.
-
-        Equivalent to ``(result, result.aggregate())`` but the aggregation
-        consumes each scenario result as it arrives instead of a second
-        pass over the materialised row list.
-        """
-        from repro.campaign.aggregate import StreamingAggregator
-
-        aggregator = StreamingAggregator()
-        result = self.run(campaign, on_outcome=lambda index, outcome:
-                          aggregator.add(index, outcome.result))
-        return result, aggregator.result()
-
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch_units(self, specs: list[ScenarioSpec]
@@ -532,52 +480,16 @@ class CampaignRunner:
                  publish: Callable[[int, dict], None]) -> None:
         """Execute scenarios, calling ``publish(position, result)`` as each
         finishes (positions index into *pending*)."""
-        specs = [spec for _index, spec in pending]
-        units = self._dispatch_units(specs)
+        units = self._dispatch_units([spec for _index, spec in pending])
         if self.workers == 1 or len(units) == 1:
             for items, is_group in units:
-                if is_group:
-                    from repro.campaign.prefix import execute_prefix_group
-
-                    results = execute_prefix_group(
-                        [spec for _pos, spec in items],
-                        max_live=self.fork_max_live)
-                    for (position, _spec), result in zip(items, results):
-                        publish(position, result)
-                else:
-                    for position, spec in items:
-                        publish(position, execute_scenario(spec))
+                for position, result in _execute_unit(items, is_group):
+                    publish(position, result)
             return
-        max_workers = min(self.workers, len(units))
-        store: Optional[ShmResultStore] = None
-        if self.use_shm:
-            try:
-                store = ShmResultStore.create(len(specs), self.slot_bytes)
-            except Exception:
-                store = None  # no /dev/shm (or exhausted): plain pickles
-        shm_name = store.name if store is not None else None
-        slot_bytes = store.slot_bytes if store is not None else 0
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(_execute_unit_slot,
-                                (items, is_group, shm_name, len(specs),
-                                 slot_bytes, self.fork_max_live))
-                    for items, is_group in units]
-                for future in as_completed(futures):
-                    for position, inline in future.result():
-                        if inline is not None:
-                            result = inline
-                        else:
-                            result = store.read(position)
-                            if result is None:
-                                # Slot lost (e.g. segment torn down under
-                                # memory pressure).  Results are pure
-                                # functions of the spec: recompute inline
-                                # rather than failing the whole campaign.
-                                result = execute_scenario(specs[position])
-                        publish(position, result)
-        finally:
-            if store is not None:
-                store.close()
-                store.unlink()
+        with ProcessPoolExecutor(max_workers=min(self.workers,
+                                                 len(units))) as pool:
+            futures = [pool.submit(_execute_unit, items, is_group)
+                       for items, is_group in units]
+            for future in as_completed(futures):
+                for position, result in future.result():
+                    publish(position, result)

@@ -114,10 +114,6 @@ class CampaignPerf:
         self.runs.append(SimThroughput(label, events, wall_seconds))
 
     @property
-    def total_events(self) -> int:
-        return sum(run.events for run in self.runs)
-
-    @property
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0

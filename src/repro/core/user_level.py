@@ -341,10 +341,10 @@ class UserLevelJitRunner:
     def start(self):
         """Create the runner process without driving the event loop.
 
-        Prefix-fork campaign scheduling uses this to advance the shared
-        failure-free prefix with ``env.run_until_before`` before forking;
-        the returned :class:`~repro.sim.Process` resolves to the
-        :class:`RunReport` once ``env.run(until=proc)`` completes it.
+        Prefix-fork campaign scheduling uses this to step the shared
+        failure-free prefix event by event before forking; the returned
+        :class:`~repro.sim.Process` resolves to the :class:`RunReport`
+        once ``env.run(until=proc)`` completes it.
         """
         return self.env.process(self.run(), name="jit-runner")
 

@@ -19,11 +19,6 @@ class CudaError(enum.Enum):
     INVALID_HANDLE = "cudaErrorInvalidResourceHandle"
     INVALID_VALUE = "cudaErrorInvalidValue"
 
-    @property
-    def is_sticky(self) -> bool:
-        """Sticky errors poison the context for all subsequent calls."""
-        return self in (CudaError.STICKY, CudaError.DEVICE_LOST)
-
 
 class CudaApiError(Exception):
     """Raised by simulated CUDA APIs when they return a non-success code.

@@ -69,9 +69,6 @@ class DeviceBuffer:
         view = np.ascontiguousarray(self.array)
         return hash((view.shape, view.dtype.str, view.tobytes()))
 
-    def clone_array(self) -> np.ndarray:
-        return self.array.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "freed" if self.freed else "live"
         return (f"<DeviceBuffer #{self.buffer_id} {self.label or self.kind.value} "

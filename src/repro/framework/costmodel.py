@@ -92,9 +92,6 @@ class TrainingCostModel:
         return int(self.config.params_per_layer * self.model_fraction
                    * self.config.bytes_per_param)
 
-    def layer_gradient_bytes_local(self) -> int:
-        return self.layer_param_bytes_local()
-
     def activation_bytes_per_layer(self) -> int:
         """Activation footprint per layer: ~2 bytes/token * hidden share.
 

@@ -38,10 +38,6 @@ class Node:
     def pcie_for(self, gpu: Gpu) -> Resource:
         return self._pcie[gpu.gpu_id]
 
-    @property
-    def healthy_gpus(self) -> list[Gpu]:
-        return [gpu for gpu in self.gpus if gpu.is_usable]
-
     def kill(self) -> None:
         """Whole-host failure (rare per the paper, but supported)."""
         self.alive = False
@@ -50,12 +46,6 @@ class Node:
         for gpu in self.gpus:
             gpu.fail(GpuHealth.DEAD)
         self.tracer.record(self.env.now, self.name, "node_kill")
-
-    def disk_write_time(self, nbytes: int) -> float:
-        return nbytes / self.spec.disk_bandwidth
-
-    def tmpfs_write_time(self, nbytes: int) -> float:
-        return nbytes / self.spec.tmpfs_bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.name} {self.spec.name} x{len(self.gpus)}>"

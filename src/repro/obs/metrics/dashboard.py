@@ -22,7 +22,6 @@ Panels:
 from __future__ import annotations
 
 import html
-import json
 import math
 from typing import Iterable, Optional
 
@@ -331,16 +330,3 @@ def write_dashboard(path: str, snapshots: Iterable[dict],
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(build_dashboard(snapshots, title=title))
     return path
-
-
-def write_snapshots(path: str, snapshots: Iterable[dict]) -> str:
-    """Persist snapshots as JSON (the dashboard's offline input format)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"snapshots": list(snapshots)}, handle, indent=2,
-                  sort_keys=True)
-    return path
-
-
-def load_snapshots(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)["snapshots"]

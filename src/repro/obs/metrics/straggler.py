@@ -157,11 +157,6 @@ class StragglerDetector:
                 labelnames).labels(rank=rank, **self.extra_labels).inc()
         return alert
 
-    def rank_stats(self) -> dict[str, dict]:
-        """Current rolling stats per rank (sorted by rank label)."""
-        return {rank: self._stats[rank].snapshot()
-                for rank in sorted(self._stats)}
-
 
 def detect_stragglers(run, window: int = 16, threshold: float = 3.0,
                       min_samples: int = 4,

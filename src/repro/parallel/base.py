@@ -256,10 +256,6 @@ class BaseEngine:
         return self.cost.checkpoint_bytes_local
 
     @property
-    def last_loss(self) -> Optional[float]:
-        return self.loss_history[-1] if self.loss_history else None
-
-    @property
     def is_checkpoint_writer(self) -> bool:
         """Does this rank write periodic checkpoints for its shard?
 

@@ -84,10 +84,6 @@ class DataParallelEngine(BaseEngine):
         if self.comm is not None:
             yield from self.api.comm_init(self.comm)
 
-    def set_comm(self, comm: NcclCommunicator) -> None:
-        """Swap in a recreated communicator after recovery."""
-        self.comm = comm
-
     # -- one minibatch ----------------------------------------------------------------
 
     def train_step(self, iteration: Optional[int] = None) -> Generator:

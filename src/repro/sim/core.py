@@ -310,10 +310,6 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
-    @property
     def events_processed(self) -> int:
         """Total logical events processed so far (throughput telemetry).
 
@@ -504,39 +500,6 @@ class Environment:
         if until is not None:
             self._now = max(self._now, deadline)
         return None
-
-    def run_until_before(self, when: float) -> None:
-        """Dispatch every event scheduled strictly before *when*.
-
-        Unlike ``run(until=t)`` this never advances the clock to *when*:
-        ``now`` is left at the last dispatched event's timestamp, so work
-        scheduled later (e.g. a failure injected at exactly *when*) lands
-        on the same floats it would in an uninterrupted run.  This is the
-        parent-side primitive of prefix-fork campaign scheduling: simulate
-        the failure-free prefix shared by a scenario group, then fork a
-        child per scenario to arm its schedule and run the divergent tail.
-        """
-        queue = self._queue
-        pool = self._timeout_pool
-        processed = self._processed
-        try:
-            while queue and queue[0][0] < when:
-                time, _priority, _seq, event = heappop(queue)
-                self._now = time
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                processed += 1
-                if event._ok:
-                    if (type(event) is Timeout and _getrefcount(event) == 2
-                            and len(pool) < _TIMEOUT_POOL_LIMIT):
-                        event._value = None
-                        pool.append(event)
-                elif not event._defused:
-                    raise event._value
-        finally:
-            self._processed = processed
 
     def peek(self) -> float:
         """Time of the next scheduled event (inf when the queue is empty)."""

@@ -27,10 +27,6 @@ class Resource:
         self._waiters: deque[Event] = deque()
 
     @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
     def queued(self) -> int:
         return len(self._waiters)
 

@@ -61,8 +61,8 @@ class ForkBranch:
 
     The child runs concurrently with the parent from the moment of
     construction; :meth:`result` blocks until it exits.  The child leaves
-    via ``os._exit`` so no parent atexit hooks, buffers or shared-memory
-    teardown run twice.
+    via ``os._exit`` so no parent atexit hooks or buffer flushes run
+    twice.
     """
 
     def __init__(self, fn: Callable[[], Any]):

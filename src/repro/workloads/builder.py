@@ -95,9 +95,6 @@ class TrainingJob:
                     f"{len(slots)} healthy GPUs and no spares remain")
             self.cluster.replace_node(broken)
 
-    def _placement(self, rank: int) -> tuple[Node, Gpu]:
-        return self._gpu_slots[rank]
-
     def node_names_of(self, ranks: list[int]) -> set[str]:
         return {self.contexts[r].node.name for r in ranks}
 

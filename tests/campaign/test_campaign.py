@@ -48,7 +48,9 @@ def test_serial_parallel_and_cached_aggregates_are_byte_identical(tmp_path):
 
     cache = ResultCache(tmp_path / "cache")
     cold = CampaignRunner(cache=cache, workers=2).run(campaign)
-    warm = CampaignRunner(cache=cache, workers=2).run(campaign)
+    seen = []
+    warm = CampaignRunner(cache=cache, workers=2).run(
+        campaign, on_outcome=lambda i, o: seen.append((i, o.from_cache)))
 
     blobs = {canonical_json(run.aggregate())
              for run in (serial, parallel, cold, warm)}
@@ -66,6 +68,46 @@ def test_serial_parallel_and_cached_aggregates_are_byte_identical(tmp_path):
     assert warm.executed == 0
     assert warm.perf.cache_hits == 8
     assert warm.perf.cache_hit_rate == 1.0
+    # Every warm outcome still streams through the callback, pool-free.
+    assert sorted(i for i, _ in seen) == list(range(len(campaign)))
+    assert all(from_cache for _, from_cache in seen)
+
+
+def test_serial_on_outcome_fires_between_scenarios(monkeypatch):
+    """With one worker each outcome is published as its scenario finishes
+    and before the next starts; a raising callback stops the run there."""
+    from repro.campaign import runner as runner_mod
+
+    log = []
+    execute = runner_mod.execute_scenario
+
+    def traced(spec):
+        log.append(("start", spec.seed))
+        result = execute(spec)
+        log.append(("end", spec.seed))
+        return result
+
+    monkeypatch.setattr(runner_mod, "execute_scenario", traced)
+    campaign = CampaignSpec.grid(
+        "serial-stream", workloads=["GPT2-S"], policies=["user_jit"],
+        seeds=[0, 1, 2], target_iterations=4, minibatch_time=0.1)
+    CampaignRunner(cache=None, workers=1).run(
+        campaign, on_outcome=lambda i, o: log.append(("outcome", o.spec.seed)))
+    assert log == [(step, seed) for seed in (0, 1, 2)
+                   for step in ("start", "end", "outcome")]
+
+    log.clear()
+
+    class Stop(Exception):
+        pass
+
+    def stop(index, outcome):
+        log.append(("outcome", outcome.spec.seed))
+        raise Stop
+
+    with pytest.raises(Stop):
+        CampaignRunner(cache=None, workers=1).run(campaign, on_outcome=stop)
+    assert log == [("start", 0), ("end", 0), ("outcome", 0)]
 
 
 #: sha256 prefix of a loss stream with no entries (``_losses_digest([])``).
@@ -217,96 +259,6 @@ def test_analytic_scenario_executes_standalone():
     assert metrics["transparent"] < metrics["user_jit"]
 
 
-# -- shared-memory result streaming ----------------------------------------------------
-
-
-def test_shm_result_store_roundtrip_and_overflow():
-    from repro.campaign import ShmResultStore
-
-    with ShmResultStore.create(slots=3, slot_bytes=256) as store:
-        assert store.read(0) is None
-        payload = {"metrics": {"restarts": 1}, "scenario_id": "x"}
-        assert store.write(0, payload)
-        assert store.read(0) == payload
-        # Writers and readers agree across an attach (same process here;
-        # the pool path exercises cross-process).
-        other = ShmResultStore.attach(store.name, 3, 256)
-        try:
-            assert other.read(0) == payload
-            assert other.write(2, {"k": "v"})
-        finally:
-            other.close()
-        assert store.read(2) == {"k": "v"}
-        # A result bigger than the slot is refused, not truncated.
-        assert not store.write(1, {"blob": "z" * 512})
-        assert store.read(1) is None
-        with pytest.raises(IndexError):
-            store.read(3)
-
-
-def test_streaming_run_matches_batch_aggregate(tmp_path):
-    from repro.campaign import StreamingAggregator
-
-    campaign = small_campaign("streaming")
-    runner = CampaignRunner(cache=None, workers=4)
-    result, streamed = runner.run_aggregated(campaign)
-    assert canonical_json(streamed) == canonical_json(result.aggregate())
-
-    # Tiny slots force every scenario through the pickle fallback; the
-    # outcome must be byte-identical.
-    cramped = CampaignRunner(cache=None, workers=4, slot_bytes=32)
-    _result2, streamed2 = cramped.run_aggregated(campaign)
-    assert canonical_json(streamed2) == canonical_json(streamed)
-
-    # Warm-cache streaming: every outcome arrives via the callback without
-    # touching a pool.
-    cache = ResultCache(tmp_path / "cache")
-    CampaignRunner(cache=cache, workers=2).run(campaign)
-    seen = []
-    warm = CampaignRunner(cache=cache, workers=2).run(
-        campaign, on_outcome=lambda i, o: seen.append((i, o.from_cache)))
-    assert warm.executed == 0
-    assert sorted(i for i, _ in seen) == list(range(len(campaign)))
-    assert all(from_cache for _, from_cache in seen)
-
-
-def test_streaming_aggregator_is_order_independent():
-    from repro.campaign import StreamingAggregator
-
-    def row(policy, seed, restarts):
-        return {
-            "scenario": {"kind": "campaign", "workload": "GPT2-S",
-                         "policy": policy, "seed": seed},
-            "metrics": {"completed": True, "failures": 1,
-                        "restarts": float(restarts), "wasted_time": 1.0,
-                        "wasted_fraction": 0.1, "goodput": 0.9,
-                        "losses_digest": "aaaa"},
-        }
-
-    rows = [row("user_jit", s, r) for s, r in enumerate((0, 2, 4))]
-    rows += [row("periodic", s, 1) for s in range(2)]
-    batch = aggregate_results(rows)
-    for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [3, 4, 0, 1, 2]):
-        agg = StreamingAggregator()
-        for index in order:
-            agg.add(index, rows[index])
-        assert canonical_json(agg.result()) == canonical_json(batch)
-
-
-def test_streaming_aggregator_analytic_passthrough():
-    from repro.campaign import StreamingAggregator
-
-    rows = [{
-        "scenario": {"kind": "analytic", "workload": "BERT-L-PT",
-                     "n_gpus": n},
-        "metrics": {"n": n, "periodic": 0.1 * i},
-    } for i, n in enumerate((1024, 2048))]
-    agg = StreamingAggregator()
-    agg.add(1, rows[1])
-    agg.add(0, rows[0])
-    assert canonical_json(agg.result()) == canonical_json(aggregate_results(rows))
-
-
 # -- code fingerprint --------------------------------------------------------------
 
 
@@ -437,6 +389,21 @@ def test_prefix_fork_group_matches_from_scratch_byte_identically():
     # (not just the shared trajectory) are covered.
     assert any(r["metrics"]["failures"] > 0 for r in forked)
 
+    # Seed 3's first failure (18.75 s) falls after the job completes
+    # (13.50 s).  The parent must stop at completion and reuse its run,
+    # not keep dispatching background events up to the failure instant.
+    late = list(CampaignSpec.grid(
+        "prefix-fork-late", workloads=["GPT2-S"], policies=["user_jit"],
+        seeds=[0, 1, 2, 3], target_iterations=8, failure_rate=1.0 / 40.0,
+        horizon=60.0).scenarios)
+    forked = execute_prefix_group(late)
+    scratch = [execute_scenario(spec) for spec in late]
+    assert [canonical_json(r["metrics"]) for r in forked] == \
+        [canonical_json(r["metrics"]) for r in scratch]
+    assert forked[3]["metrics"]["failures"] == 0
+    assert forked[3]["metrics"]["total_time"] < 18.75
+    assert forked[3]["perf"]["events"] <= scratch[3]["perf"]["events"]
+
 
 def test_prefix_key_separates_trajectory_shaping_config():
     from repro.campaign.prefix import prefix_key
@@ -480,15 +447,37 @@ def test_prefix_fork_runner_aggregate_is_byte_identical(tmp_path):
             [s.scenario_id for s in campaign.scenarios]
 
 
-def test_shm_slot_overflow_falls_back_to_inline_recompute():
-    """A result too large for its shared-memory slot must degrade to the
-    parent recomputing the scenario inline — never a hard failure (the
-    pre-fix behaviour raised RuntimeError on the empty slot)."""
-    campaign = small_campaign("shm-overflow")
-    # 64-byte slots: every result overflows its slot.
-    tiny = CampaignRunner(cache=None, workers=2, slot_bytes=64).run(campaign)
-    plain = CampaignRunner(cache=None, workers=1).run(campaign)
-    assert canonical_json(tiny.aggregate()) == canonical_json(plain.aggregate())
+def test_prefix_fork_dead_child_fails_the_run(monkeypatch, tmp_path):
+    """A forked child that dies takes its whole group down with it: the
+    error leaves ``run`` and no scenario of the group yields a row."""
+    import os
+
+    from repro.campaign import prefix
+    from repro.sim.snapshot import HAVE_FORK, BranchError, ForkBranch
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+
+    forks = []
+
+    class FirstChildDies(ForkBranch):
+        def __init__(self, fn):
+            forks.append(self)
+            super().__init__(fn if len(forks) > 1 else lambda: os._exit(3))
+
+    monkeypatch.setattr(prefix, "ForkBranch", FirstChildDies)
+    campaign = small_campaign("prefix-dead-child")
+    cache = ResultCache(tmp_path / "cache")
+    seen = []
+    with pytest.raises(BranchError, match="died without a result"):
+        CampaignRunner(cache=cache, workers=1, prefix_fork=True).run(
+            campaign, on_outcome=lambda i, o: seen.append(i))
+    assert len(forks) >= 2
+    assert seen == [] and len(cache) == 0
+    # The group reaped every child it forked, the healthy ones included.
+    for branch in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(branch.pid, os.WNOHANG)
 
 
 def test_oracle_scenario_storage_shapes():
